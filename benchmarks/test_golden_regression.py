@@ -4,7 +4,9 @@ Pins every ``benchmarks/results/fig*.txt`` (plus the inline-stat and
 multi-GPU scaling tables) against freshly generated output, so a
 pass-pipeline or counter change that silently drifts the published
 numbers fails loudly instead of being papered over by the
-re-persisting figure tests.
+re-persisting figure tests.  Every committed ``sweep_*.json`` made by
+:func:`repro.run_sweep` is pinned the same way: rows, their order,
+every column value and the plan-cache hit/miss counts.
 
 The committed file contents are snapshotted at *collection* time —
 before any figure test in this run rewrites them — so the comparison is
@@ -13,12 +15,16 @@ genuinely against what the repository ships.
 
 from __future__ import annotations
 
+import glob
+import json
 import os
 
 import pytest
 
 from repro.bench import figures
+from repro.bench.__main__ import SWEEPS
 from repro.bench.report import RESULTS_DIR
+from repro.session import run_sweep
 
 # name -> zero-arg callable producing the table text.
 GOLDEN_TABLES = {
@@ -41,6 +47,10 @@ GOLDEN_TABLES = {
     "inline_memory_share": lambda: figures.inline_intermediate_memory_share()[1],
 }
 
+# name -> run_sweep keyword arguments.  sweep_overlap_smoke.json is not
+# a run_sweep result (the overlap smoke case writes it directly).
+GOLDEN_SWEEPS = SWEEPS
+
 # Snapshot at import (collection) time, before figure tests overwrite.
 _COMMITTED = {}
 for _name in GOLDEN_TABLES:
@@ -48,6 +58,10 @@ for _name in GOLDEN_TABLES:
     if os.path.exists(_path):
         with open(_path) as _fh:
             _COMMITTED[_name] = _fh.read()
+_COMMITTED_SWEEPS = {}
+for _path in glob.glob(os.path.join(RESULTS_DIR, "sweep_*.json")):
+    with open(_path) as _fh:
+        _COMMITTED_SWEEPS[os.path.basename(_path)[: -len(".json")]] = json.load(_fh)
 
 
 def test_backend_calibration_structure():
@@ -100,4 +114,27 @@ def test_committed_table_is_reproducible(name):
         f"benchmarks/results/{name}.txt.  If the change is intentional, "
         "regenerate and commit the new table; otherwise a pass/counter "
         "change drifted published numbers."
+    )
+
+
+def test_every_committed_sweep_is_pinned():
+    assert set(_COMMITTED_SWEEPS) - {"sweep_overlap_smoke"} == set(GOLDEN_SWEEPS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_committed_sweep_is_reproducible(name):
+    assert name in _COMMITTED_SWEEPS, (
+        f"benchmarks/results/{name}.json is missing — run the bench case "
+        "that makes it and commit the generated file"
+    )
+    # Round-trip through JSON so the comparison sees exactly what
+    # save_json would write; the timestamp is the only free field.
+    fresh = json.loads(json.dumps(run_sweep(**GOLDEN_SWEEPS[name]).to_dict()))
+    committed = dict(_COMMITTED_SWEEPS[name])
+    fresh.pop("generated_unix")
+    committed.pop("generated_unix")
+    assert fresh == committed, (
+        f"{name}: a fresh run_sweep differs from the committed "
+        f"benchmarks/results/{name}.json (rows, values, order or plan-cache "
+        "counts).  If the change is intentional, regenerate and commit it."
     )

@@ -37,6 +37,9 @@ case: the overlap-efficiency table plus its acceptance invariants
 comm-bound narrow-link rows), a concrete overlapped MultiEngine
 execution bit-identical to the serial oracle, and an overlapped serve
 run persisted to ``benchmarks/results/sweep_overlap_smoke.json``.
+
+The ``run_sweep`` arguments of every committed sweep live in one table,
+:data:`SWEEPS`, and the case flags in another, :data:`CASES`.
 """
 
 from __future__ import annotations
@@ -84,17 +87,88 @@ FIGURES = (
     ("fig_overlap_efficiency", fig_overlap_efficiency),
 )
 
-
-def run_smoke() -> int:
-    """CI-sized sanity sweep: small dims, citation-scale workloads."""
-    t0 = time.time()  # repro: allow-wallclock
-    sweep = run_sweep(
+#: ``run_sweep`` arguments of every committed ``benchmarks/results``
+#: sweep, keyed by results-file name.  The smoke runners and
+#: :func:`run_full` make them from here, and the golden regression test
+#: regenerates them from here.
+SWEEPS = {
+    "sweep_smoke": dict(
         models=["gat", "gcn"],
         datasets=["cora", "pubmed"],
         strategies=["dgl-like", "ours"],
         feature_dim=32,
-        save_as="sweep_smoke",
-    )
+    ),
+    "sweep_minibatch_smoke": dict(
+        models=["sage"],
+        datasets=["pubmed"],
+        strategies=["ours"],
+        batch_size=[None, 1024, 256],
+        feature_dim=32,
+    ),
+    "sweep_memory_smoke": dict(
+        models=["gat", "sage"],
+        datasets=["cora"],
+        strategies=["ours"],
+        schedule=[None, "memory"],
+        feature_dim=32,
+    ),
+    "sweep_serve_smoke": dict(
+        models=["gat"],
+        datasets=["pubmed"],
+        strategies=["ours"],
+        serve_qps=[500.0, 8000.0],
+        serve_requests=96,
+        serve_seeds=4,
+        serve_cache_rows=4096,
+        serve_zipf_alpha=0.9,
+        feature_dim=32,
+        training=False,
+    ),
+    "sweep_dynamic_smoke": dict(
+        models=["gat"],
+        datasets=["pubmed"],
+        strategies=["ours"],
+        serve_qps=[4000.0],
+        update_frac=[0.0, 0.3],
+        serve_requests=96,
+        serve_seeds=4,
+        serve_cache_rows=4096,
+        serve_zipf_alpha=0.9,
+        feature_dim=32,
+        training=False,
+    ),
+    "sweep_backend_smoke": dict(
+        models=["gat"],
+        datasets=["cora"],
+        strategies=["ours"],
+        backend=[None, "blocked"],
+        feature_dim=32,
+    ),
+    "sweep_precision_smoke": dict(
+        models=["gat"],
+        datasets=["cora"],
+        strategies=["ours"],
+        precision=[None, "fp16", "int8"],
+        feature_dim=32,
+    ),
+    "sweep_main": dict(
+        models=["gat", "gcn", "sage", "gin"],
+        datasets=["cora", "pubmed", "reddit-full"],
+        strategies=["dgl-like", "ours"],
+        feature_dim=64,
+    ),
+}
+
+
+def _committed_sweep(name: str):
+    """Run one :data:`SWEEPS` entry and persist it under its name."""
+    return run_sweep(**SWEEPS[name], save_as=name)
+
+
+def run_smoke() -> int:
+    """CI-sized sanity sweep: small dims, citation-scale workloads."""
+    t0 = time.time()  # repro: allow-wallclock
+    sweep = _committed_sweep("sweep_smoke")
     print(sweep.table())
     print(f"smoke sweep done in {time.time() - t0:.1f}s "  # repro: allow-wallclock
           f"({sweep.cache_misses} compiles, {sweep.cache_hits} cache hits)")
@@ -110,14 +184,7 @@ def run_minibatch_smoke() -> int:
     peak and must pay a positive feature-gather bill.
     """
     t0 = time.time()  # repro: allow-wallclock
-    sweep = run_sweep(
-        models=["sage"],
-        datasets=["pubmed"],
-        strategies=["ours"],
-        batch_size=[None, 1024, 256],
-        feature_dim=32,
-        save_as="sweep_minibatch_smoke",
-    )
+    sweep = _committed_sweep("sweep_minibatch_smoke")
     print(sweep.table())
     full = sweep.by(batch_size=None)[0]
     sampled = [r for r in sweep.rows if r.batch_size is not None]
@@ -156,14 +223,7 @@ def run_memory_smoke() -> int:
         assert row["reuse_factor"] >= 1.0
         strict += row["arena_bytes"] < row["ledger_peak_bytes"]
     assert strict >= 6, f"arena beat the ledger on only {strict} models"
-    sweep = run_sweep(
-        models=["gat", "sage"],
-        datasets=["cora"],
-        strategies=["ours"],
-        schedule=[None, "memory"],
-        feature_dim=32,
-        save_as="sweep_memory_smoke",
-    )
+    sweep = _committed_sweep("sweep_memory_smoke")
     print(sweep.table())
     print(
         f"memory smoke done in {time.time() - t0:.1f}s "  # repro: allow-wallclock
@@ -183,19 +243,7 @@ def run_serve_smoke() -> int:
     accounting that reconciles exactly against the uncached bill.
     """
     t0 = time.time()  # repro: allow-wallclock
-    sweep = run_sweep(
-        models=["gat"],
-        datasets=["pubmed"],
-        strategies=["ours"],
-        serve_qps=[500.0, 8000.0],
-        serve_requests=96,
-        serve_seeds=4,
-        serve_cache_rows=4096,
-        serve_zipf_alpha=0.9,
-        feature_dim=32,
-        training=False,
-        save_as="sweep_serve_smoke",
-    )
+    sweep = _committed_sweep("sweep_serve_smoke")
     print(sweep.table())
     rows = sweep.rows
     assert rows and all(r.serve_qps is not None for r in rows)
@@ -237,20 +285,7 @@ def run_dynamic_smoke() -> int:
     actually observed updates (positive staleness).
     """
     t0 = time.time()  # repro: allow-wallclock
-    sweep = run_sweep(
-        models=["gat"],
-        datasets=["pubmed"],
-        strategies=["ours"],
-        serve_qps=[4000.0],
-        update_frac=[0.0, 0.3],
-        serve_requests=96,
-        serve_seeds=4,
-        serve_cache_rows=4096,
-        serve_zipf_alpha=0.9,
-        feature_dim=32,
-        training=False,
-        save_as="sweep_dynamic_smoke",
-    )
+    sweep = _committed_sweep("sweep_dynamic_smoke")
     print(sweep.table())
     static = sweep.by(update_frac=0.0)
     dynamic = sweep.by(update_frac=0.3)
@@ -335,14 +370,7 @@ def run_measured_smoke() -> int:
         f"blocked gather ({blk_gather:.4f}s) must beat reference "
         f"({ref_gather:.4f}s)"
     )
-    sweep = run_sweep(
-        models=["gat"],
-        datasets=["cora"],
-        strategies=["ours"],
-        backend=[None, "blocked"],
-        feature_dim=32,
-        save_as="sweep_backend_smoke",
-    )
+    sweep = _committed_sweep("sweep_backend_smoke")
     print(sweep.table())
     assert {r.backend for r in sweep.rows} == {None, "blocked"}
     print(
@@ -420,14 +448,7 @@ def run_precision_smoke() -> int:
             f"fp16 output {k} drifted {rel:.2e} > bound {bound:g}"
         )
 
-    sweep = run_sweep(
-        models=["gat"],
-        datasets=["cora"],
-        strategies=["ours"],
-        precision=[None, "fp16", "int8"],
-        feature_dim=32,
-        save_as="sweep_precision_smoke",
-    )
+    sweep = _committed_sweep("sweep_precision_smoke")
     print(sweep.table())
     assert {r.precision for r in sweep.rows} == {None, "fp16", "int8"}
     fp32_row = sweep.by(precision=None)[0]
@@ -568,13 +589,7 @@ def run_full() -> int:
     print(table)
     print(f"  -> {save_table('inline_memory_share', table)}\n")
 
-    sweep = run_sweep(
-        models=["gat", "gcn", "sage", "gin"],
-        datasets=["cora", "pubmed", "reddit-full"],
-        strategies=["dgl-like", "ours"],
-        feature_dim=64,
-        save_as="sweep_main",
-    )
+    sweep = _committed_sweep("sweep_main")
     print(sweep.table())
     print("  -> sweep_main.json\n")
 
@@ -582,70 +597,40 @@ def run_full() -> int:
     return 0
 
 
+#: ``python -m repro.bench`` case flags: (flag, runner, help).  The
+#: first flag given wins; no flag regenerates everything (:func:`run_full`).
+CASES = (
+    ("--smoke", run_smoke,
+     "run a quick CI-sized sweep instead of all paper figures"),
+    ("--minibatch", run_minibatch_smoke,
+     "run the CI-sized sampled mini-batch training smoke case"),
+    ("--memory", run_memory_smoke,
+     "run the CI-sized arena memory-planning smoke case"),
+    ("--serve", run_serve_smoke,
+     "run the CI-sized online inference-serving smoke case"),
+    ("--dynamic", run_dynamic_smoke,
+     "run the CI-sized dynamic-serving (graph/feature update) smoke case"),
+    ("--measured", run_measured_smoke,
+     "run the measured-execution smoke case: per-backend kernel-class "
+     "calibration vs the analytic roofline"),
+    ("--precision", run_precision_smoke,
+     "run the mixed-precision smoke case: precision-io table, exact fp16 "
+     "halving invariants, and a differential execution"),
+    ("--overlap", run_overlap_smoke,
+     "run the async-runtime smoke case: overlap-efficiency table, "
+     "pipelining-win invariants, and a bit-identity differential "
+     "execution"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.bench")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run a quick CI-sized sweep instead of all paper figures",
-    )
-    parser.add_argument(
-        "--minibatch",
-        action="store_true",
-        help="run the CI-sized sampled mini-batch training smoke case",
-    )
-    parser.add_argument(
-        "--memory",
-        action="store_true",
-        help="run the CI-sized arena memory-planning smoke case",
-    )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="run the CI-sized online inference-serving smoke case",
-    )
-    parser.add_argument(
-        "--dynamic",
-        action="store_true",
-        help="run the CI-sized dynamic-serving (graph/feature update) "
-        "smoke case",
-    )
-    parser.add_argument(
-        "--measured",
-        action="store_true",
-        help="run the measured-execution smoke case: per-backend "
-        "kernel-class calibration vs the analytic roofline",
-    )
-    parser.add_argument(
-        "--precision",
-        action="store_true",
-        help="run the mixed-precision smoke case: precision-io table, "
-        "exact fp16 halving invariants, and a differential execution",
-    )
-    parser.add_argument(
-        "--overlap",
-        action="store_true",
-        help="run the async-runtime smoke case: overlap-efficiency "
-        "table, pipelining-win invariants, and a bit-identity "
-        "differential execution",
-    )
+    for flag, _, help_text in CASES:
+        parser.add_argument(flag, action="store_true", help=help_text)
     args = parser.parse_args(argv)
-    if args.smoke:
-        return run_smoke()
-    if args.minibatch:
-        return run_minibatch_smoke()
-    if args.memory:
-        return run_memory_smoke()
-    if args.serve:
-        return run_serve_smoke()
-    if args.dynamic:
-        return run_dynamic_smoke()
-    if args.measured:
-        return run_measured_smoke()
-    if args.precision:
-        return run_precision_smoke()
-    if args.overlap:
-        return run_overlap_smoke()
+    for flag, runner, _ in CASES:
+        if getattr(args, flag[2:]):
+            return runner()
     return run_full()
 
 

@@ -43,7 +43,8 @@ import os
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,7 +54,6 @@ from repro.exec.profiler import Counters, MiniBatchCounters, MultiGPUCounters
 from repro.frameworks import compile_forward, compile_training, get_strategy
 from repro.frameworks.strategy import (
     CompiledForward,
-    CompiledTraining,
     ExecutionStrategy,
 )
 from repro.gpu.cluster import Cluster, ClusterCostModel, CommBreakdown, make_cluster
@@ -280,6 +280,20 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
+@dataclass
+class _Evaluation:
+    """One configuration evaluated as its workload kind
+    (:meth:`Session._evaluate`): the kind's own counters, modelled
+    latency and device fit, plus the kind's extra report fields and
+    sweep-row columns."""
+
+    counters: Union[Counters, MiniBatchCounters, MultiGPUCounters]
+    latency_s: float
+    fits: bool
+    report: Dict[str, object] = field(default_factory=dict)
+    row: Dict[str, object] = field(default_factory=dict)
+
+
 # ======================================================================
 class Session:
     """Fluent configuration builder over the unified registries.
@@ -299,19 +313,9 @@ class Session:
         self._gpu: Union[str, GPUSpec] = "RTX3090"
         self._cluster: Optional[Cluster] = None
         self._partitioner: Optional[str] = None
-        # (workload id, num_parts, method, seed) -> (workload, stats).
-        self._pstats_memo: Dict[tuple, tuple] = {}
         self._feature_dim: Optional[int] = None
-        # Last (compiled, stats) -> counters, so counters() followed by
-        # latency_seconds()/fits() analyses once, not three times.
-        self._counters_memo: Optional[tuple] = None
-        # Multi-GPU twin: (compiled, partition stats) -> MultiGPUCounters.
-        self._multi_memo: Optional[tuple] = None
         # Sampled mini-batch configuration: (batch_size, hops, seed).
         self._minibatch: Optional[Tuple[int, Optional[int], int]] = None
-        # (compiled id, batch/hops/seed, workload anchor) -> counters;
-        # anchors keep id()s alive exactly like the partition memo.
-        self._minibatch_memo: Dict[tuple, tuple] = {}
         # Memory planning: None = ledger accounting only, "memory" =
         # append the schedule_memory pass and price the arena plan.
         self._schedule: Optional[str] = None
@@ -324,8 +328,8 @@ class Session:
         # Async-runtime override: None keeps the strategy's own mode
         # (normally serial).
         self._overlap: Optional[str] = None
-        # (compiled id, stats id) -> (compiled, stats, StepMemoryPlan).
-        self._memory_memo: Dict[tuple, tuple] = {}
+        # Partitions, counters and memory plans (see _memoised).
+        self._memo: Dict[tuple, tuple] = {}
         # Registry-name models resolve once per configuration; the
         # model/dataset/feature_dim setters invalidate this.
         self._resolved_model: Optional[GNNModel] = None
@@ -426,8 +430,9 @@ class Session:
         concrete multi-GPU execution and :meth:`serve` use it; both
         modes are bit-identical to the serial oracle by contract.
         :meth:`overlap_schedules` reports the modelled timeline and its
-        overlap efficiency.  ``overlap(None)`` restores serial
-        execution.
+        overlap efficiency.  ``overlap(None)`` restores the strategy's
+        own mode (serial for the registered strategies; a strategy
+        object built with ``overlap="events"`` keeps it).
         """
         if mode not in (None, "events", "threads"):
             raise ValueError(
@@ -527,6 +532,19 @@ class Session:
     def plan_cache(self) -> PlanCache:
         return self._cache
 
+    def _memoised(self, anchors: tuple, params: tuple, compute):
+        """``compute()``, memoised on the identity of ``anchors``
+        (compiled pairs, workloads, partitions) plus hashable ``params``.
+
+        The entry keeps its anchors alive, so their id()s are never
+        recycled: two workloads sharing a name never alias each other's
+        results, and a result is computed once per session.
+        """
+        key = tuple(map(id, anchors)) + params
+        if key not in self._memo:
+            self._memo[key] = (anchors, compute())
+        return self._memo[key][1]
+
     # -- resolution ----------------------------------------------------
     def resolve_strategy(self) -> ExecutionStrategy:
         s = self._strategy
@@ -570,23 +588,20 @@ class Session:
         spec = strategy.partition if strategy.partition is not None else PartitionSpec()
         method = self._partitioner or spec.method
         ds = self.resolve_dataset()
-        # Key on workload object identity (the anchor is stored in the
-        # value to keep its id() from being recycled): two datasets
-        # sharing a name must never alias each other's partitions.
-        anchor = ds if ds is not None else self._stats
-        key = (id(anchor), num_parts, method, spec.seed)
-        memo = self._pstats_memo.get(key)
-        if memo is not None and memo[0] is anchor:
-            return memo[1]
-        if ds is not None and ds.has_concrete_graph:
-            gp = partition_graph(
-                ds.graph(), num_parts, method=method, seed=spec.seed
-            )
-            pstats = PartitionStats.from_partition(gp)
-        else:
-            pstats = PartitionStats.from_stats(self.resolve_stats(), num_parts)
-        self._pstats_memo[key] = (anchor, pstats)
-        return pstats
+
+        def partition() -> PartitionStats:
+            if ds is not None and ds.has_concrete_graph:
+                gp = partition_graph(
+                    ds.graph(), num_parts, method=method, seed=spec.seed
+                )
+                return PartitionStats.from_partition(gp)
+            return PartitionStats.from_stats(self.resolve_stats(), num_parts)
+
+        return self._memoised(
+            (ds if ds is not None else self._stats,),
+            ("partition", num_parts, method, spec.seed),
+            partition,
+        )
 
     def resolve_dataset(self) -> Optional[Dataset]:
         d = self._dataset
@@ -620,9 +635,12 @@ class Session:
                 "its feature/class dimensions; call .dataset(...) first "
                 "or pass a constructed model instance"
             )
-        in_dim = self._feature_dim if self._feature_dim is not None else ds.feature_dim
-        self._resolved_model = MODELS.get(m)(in_dim, ds.num_classes)
+        self._resolved_model = MODELS.get(m)(self._in_dim(ds), ds.num_classes)
         return self._resolved_model
+
+    def _in_dim(self, ds: Dataset) -> int:
+        """Input feature width: the override, else the dataset's."""
+        return self._feature_dim if self._feature_dim is not None else ds.feature_dim
 
     # -- terminal operations -------------------------------------------
     def compile(self, *, training: bool = True):
@@ -679,43 +697,44 @@ class Session:
     ) -> StepMemoryPlan:
         """Memoised planning for an already-compiled pair (no extra
         plan-cache traffic — sweeps pin one compile call per combo)."""
-        key = (id(compiled), id(stats), training)
-        memo = self._memory_memo.get(key)
-        if memo is not None and memo[0] is compiled and memo[1] is stats:
-            return memo[2]
-        pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
-        if training:
-            smp = StepMemoryPlan(
-                forward=plan_memory(compiled.fwd_plan, stats, pinned=pinned),
-                backward=plan_memory(compiled.bwd_plan, stats, pinned=pinned),
-            )
-        else:
-            smp = StepMemoryPlan(
+
+        def plan() -> StepMemoryPlan:
+            pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
+            if training:
+                return StepMemoryPlan(
+                    forward=plan_memory(compiled.fwd_plan, stats, pinned=pinned),
+                    backward=plan_memory(compiled.bwd_plan, stats, pinned=pinned),
+                )
+            return StepMemoryPlan(
                 forward=plan_memory(compiled.plan, stats, pinned=pinned)
             )
-        self._memory_memo[key] = (compiled, stats, smp)
-        return smp
+
+        return self._memoised((compiled, stats), ("memory", training), plan)
 
     def counters(self, *, training: bool = True) -> Counters:
-        compiled = self.compile(training=training)
-        stats = self.resolve_stats()
-        memo = self._counters_memo
-        if memo is not None and memo[0] is compiled and memo[1] is stats:
-            return memo[2]
-        counters = compiled.counters(stats)
-        if self._schedule == "memory":
-            # Price the arena plan: the cost model's DRAM check then
-            # uses the deliverable (pinned + packed arena) footprint.
-            smp = self._memory_plan_compiled(compiled, stats, training)
-            counters.forward.planned_peak_bytes = (
-                smp.forward.planned_peak_bytes
-            )
-            if counters.backward is not None and smp.backward is not None:
-                counters.backward.planned_peak_bytes = (
-                    smp.backward.planned_peak_bytes
+        return self._counters_compiled(
+            self.compile(training=training), self.resolve_stats(), training
+        )
+
+    def _counters_compiled(
+        self, compiled, stats: GraphStats, training: bool
+    ) -> Counters:
+        def walk() -> Counters:
+            counters = compiled.counters(stats)
+            if self._schedule == "memory":
+                # Price the arena plan: the cost model's DRAM check then
+                # uses the deliverable (pinned + packed arena) footprint.
+                smp = self._memory_plan_compiled(compiled, stats, training)
+                counters.forward.planned_peak_bytes = (
+                    smp.forward.planned_peak_bytes
                 )
-        self._counters_memo = (compiled, stats, counters)
-        return counters
+                if counters.backward is not None and smp.backward is not None:
+                    counters.backward.planned_peak_bytes = (
+                        smp.backward.planned_peak_bytes
+                    )
+            return counters
+
+        return self._memoised((compiled, stats), ("counters",), walk)
 
     def multi_counters(self, *, training: bool = True) -> MultiGPUCounters:
         """Per-GPU counters + halo traffic (requires a cluster)."""
@@ -724,14 +743,18 @@ class Session:
                 "session targets a single GPU: call .cluster(name, n) "
                 "before asking for multi-GPU counters"
             )
-        compiled = self.compile(training=training)
-        pstats = self.resolve_partition_stats()
-        memo = self._multi_memo
-        if memo is not None and memo[0] is compiled and memo[1] is pstats:
-            return memo[2]
-        multi = compiled.multi_counters(pstats)
-        self._multi_memo = (compiled, pstats, multi)
-        return multi
+        return self._multi_counters_compiled(
+            self.compile(training=training), self.resolve_partition_stats()
+        )
+
+    def _multi_counters_compiled(
+        self, compiled, pstats: PartitionStats
+    ) -> MultiGPUCounters:
+        """Partitioned counters are GPU-independent: one walk per
+        (compiled pair, partition) serves every device and GPU model."""
+        return self._memoised(
+            (compiled, pstats), ("multi",), lambda: compiled.multi_counters(pstats)
+        )
 
     def _minibatch_schedule(self, compiled) -> List[Tuple[int, GraphStats]]:
         """One epoch's (num_seeds, field_stats) pairs for the workload."""
@@ -768,25 +791,88 @@ class Session:
                 "session evaluates full-graph: call .minibatch(batch_size) "
                 "before asking for mini-batch counters"
             )
-        if self.resolve_cluster() is not None:
+        return self._evaluate(training=training).counters
+
+    def _minibatch_counters_compiled(self, compiled) -> MiniBatchCounters:
+        ds = self.resolve_dataset()
+        return self._memoised(
+            (compiled, ds if ds is not None else self.resolve_stats()),
+            ("minibatch", self._minibatch),
+            lambda: compiled.minibatch_counters(
+                self._minibatch_schedule(compiled),
+                num_vertices=self.resolve_stats().num_vertices,
+            ),
+        )
+
+    def _evaluate(
+        self, compiled=None, *, training: bool = True
+    ) -> "_Evaluation":
+        """Evaluate the configuration as its workload kind.
+
+        This is the one place that decides between a sampled mini-batch
+        epoch, a partitioned multi-GPU step, and a single-GPU
+        full-graph step; :meth:`report`, :meth:`latency_seconds`,
+        :meth:`fits` and :func:`run_sweep` all go through it.
+        ``compiled`` is an already-compiled pair (sweeps pass theirs so
+        the plan cache is not consulted again); ``None`` compiles
+        through the cache once the kind is known to be valid.
+        """
+        cluster = self.resolve_cluster()
+        if self._minibatch is not None and cluster is not None:
             raise ValueError(
                 "mini-batch accounting is single-GPU: configure .gpu(...) "
                 "instead of .cluster(...)"
             )
-        compiled = self.compile(training=training)
-        ds = self.resolve_dataset()
-        anchor = ds if ds is not None else self.resolve_stats()
-        key = (id(compiled), self._minibatch, id(anchor))
-        memo = self._minibatch_memo.get(key)
-        if memo is not None and memo[0] is compiled and memo[1] is anchor:
-            return memo[2]
+        if compiled is None:
+            compiled = self.compile(training=training)
+        if self._minibatch is not None:
+            mc = self._minibatch_counters_compiled(compiled)
+            cost = CostModel(self.resolve_gpu())
+            batch_size = self._minibatch[0]
+            return _Evaluation(
+                mc,
+                cost.minibatch_latency_seconds(mc),
+                cost.fits(mc),
+                report=dict(batch_size=batch_size, minibatch=mc),
+                row=dict(batch_size=batch_size, gather_bytes=mc.gather_bytes),
+            )
+        if cluster is not None:
+            pstats = self.resolve_partition_stats()
+            multi = self._multi_counters_compiled(compiled, pstats)
+            cluster_cost = ClusterCostModel(cluster)
+            breakdown = cluster_cost.breakdown(multi, pstats)
+            return _Evaluation(
+                multi,
+                breakdown.total_seconds,
+                cluster_cost.fits(multi),
+                report=dict(
+                    num_gpus=cluster.num_gpus,
+                    multi=multi,
+                    compute_seconds=breakdown.compute_seconds,
+                    comm_seconds=breakdown.comm_seconds,
+                ),
+                # Byte-based traffic share (monotone in the GPU count;
+                # the time split depends on imbalance floors too).
+                row=dict(
+                    num_gpus=cluster.num_gpus,
+                    comm_bytes=multi.comm_bytes,
+                    comm_fraction=multi.comm_fraction,
+                ),
+            )
         stats = self.resolve_stats()
-        counters = compiled.minibatch_counters(
-            self._minibatch_schedule(compiled),
-            num_vertices=stats.num_vertices,
+        counters = self._counters_compiled(compiled, stats, training)
+        cost = CostModel(self.resolve_gpu())
+        arena = (
+            self._memory_plan_compiled(compiled, stats, training).arena_bytes
+            if self._schedule == "memory"
+            else 0
         )
-        self._minibatch_memo[key] = (compiled, anchor, counters)
-        return counters
+        return _Evaluation(
+            counters,
+            cost.latency_seconds(counters, stats),
+            cost.fits(counters),
+            row=dict(arena_bytes=arena),
+        )
 
     def minibatch_latency_seconds(self, *, training: bool = True) -> float:
         """Modelled epoch time: per-batch kernels + feature gathers."""
@@ -849,27 +935,10 @@ class Session:
         return schedules
 
     def latency_seconds(self, *, training: bool = True) -> float:
-        if self._minibatch is not None:
-            return self.minibatch_latency_seconds(training=training)
-        cluster = self.resolve_cluster()
-        if cluster is not None:
-            return self.comm_breakdown(training=training).total_seconds
-        return CostModel(self.resolve_gpu()).latency_seconds(
-            self.counters(training=training), self.resolve_stats()
-        )
+        return self._evaluate(training=training).latency_s
 
     def fits(self, *, training: bool = True) -> bool:
-        if self._minibatch is not None:
-            # The per-batch maximum is the footprint that must fit.
-            return CostModel(self.resolve_gpu()).fits(
-                self.minibatch_counters(training=training)
-            )
-        cluster = self.resolve_cluster()
-        if cluster is not None:
-            return ClusterCostModel(cluster).fits(
-                self.multi_counters(training=training)
-            )
-        return CostModel(self.resolve_gpu()).fits(self.counters(training=training))
+        return self._evaluate(training=training).fits
 
     # -- naming (for reports) ------------------------------------------
     def _model_label(self) -> str:
@@ -903,53 +972,21 @@ class Session:
         from repro.train import Adam, MiniBatchTrainer, Trainer  # local: keeps import cheap
 
         compiled = self.compile(training=True)
+        evaluation = self._evaluate(compiled, training=True)
         stats = self.resolve_stats()
-        counters = self.counters(training=True)
-        cluster = self.resolve_cluster()
-        if self._minibatch is not None:
-            mc = self.minibatch_counters()
-            report = ExperimentReport(
-                model=self._model_label(),
-                dataset=self._dataset_label(),
-                strategy=self._strategy_label(),
-                gpu=self._gpu_label(),
-                counters=counters,
-                latency_s=self.minibatch_latency_seconds(),
-                fits_device=CostModel(self.resolve_gpu()).fits(mc),
-                batch_size=self._minibatch[0],
-                minibatch=mc,
-            )
-        elif cluster is not None:
-            multi = self.multi_counters()
-            breakdown = ClusterCostModel(cluster).breakdown(
-                multi, self.resolve_partition_stats()
-            )
-            report = ExperimentReport(
-                model=self._model_label(),
-                dataset=self._dataset_label(),
-                strategy=self._strategy_label(),
-                gpu=self._gpu_label(),
-                counters=counters,
-                latency_s=breakdown.total_seconds,
-                fits_device=ClusterCostModel(cluster).fits(multi),
-                num_gpus=cluster.num_gpus,
-                multi=multi,
-                compute_seconds=breakdown.compute_seconds,
-                comm_seconds=breakdown.comm_seconds,
-            )
-        else:
-            cost = CostModel(self.resolve_gpu())
-            report = ExperimentReport(
-                model=self._model_label(),
-                dataset=self._dataset_label(),
-                strategy=self._strategy_label(),
-                gpu=self._gpu_label(),
-                counters=counters,
-                latency_s=cost.latency_seconds(counters, stats),
-                fits_device=cost.fits(counters),
-            )
+        report = ExperimentReport(
+            model=self._model_label(),
+            dataset=self._dataset_label(),
+            strategy=self._strategy_label(),
+            gpu=self._gpu_label(),
+            # The full-graph step stays the reference for every kind.
+            counters=self._counters_compiled(compiled, stats, True),
+            latency_s=evaluation.latency_s,
+            fits_device=evaluation.fits,
+            **evaluation.report,
+        )
         if self._schedule == "memory":
-            report.memory = self.memory_plan(training=True)
+            report.memory = self._memory_plan_compiled(compiled, stats, True)
 
         if train_steps > 0:
             ds = self.resolve_dataset()
@@ -959,11 +996,7 @@ class Session:
                     "this session was configured with raw stats only"
                 )
             graph = ds.graph()
-            in_dim = (
-                self._feature_dim
-                if self._feature_dim is not None
-                else ds.feature_dim
-            )
+            in_dim = self._in_dim(ds)
             feats = ds.features(dim=in_dim, seed=seed)
             if ds.has_labels:
                 labels = ds.labels()
@@ -1076,13 +1109,19 @@ class Session:
                 "stats-only workloads cannot answer seed requests"
             )
         graph = ds.graph()
-        in_dim = (
-            self._feature_dim if self._feature_dim is not None else ds.feature_dim
-        )
+        in_dim = self._in_dim(ds)
         features = ds.features(dim=in_dim, seed=seed)
         compiled = self.compile(training=False)
         tenant = self._model_label()
-        rng = np.random.default_rng(seed)
+        stream = dict(
+            qps=qps,
+            num_vertices=graph.num_vertices,
+            seeds_per_request=seeds_per_request,
+            slo_s=slo_s,
+            tenant=tenant,
+            zipf_alpha=zipf_alpha,
+            rng=np.random.default_rng(seed),
+        )
         updates = None
         if update_frac > 0.0:
             from repro.dyn import mixed_workload  # local: keeps import cheap
@@ -1094,41 +1133,16 @@ class Session:
                 )
             workload, updates = mixed_workload(
                 num_requests,
-                qps=qps,
-                num_vertices=graph.num_vertices,
                 feature_dim=in_dim,
                 update_frac=update_frac,
-                seeds_per_request=seeds_per_request,
-                slo_s=slo_s,
-                tenant=tenant,
-                zipf_alpha=zipf_alpha,
                 edge_frac=update_edge_frac,
                 new_vertex_prob=new_vertex_prob,
-                rng=rng,
+                **stream,
             )
         elif arrival == "poisson":
-            workload = poisson_workload(
-                num_requests,
-                qps=qps,
-                num_vertices=graph.num_vertices,
-                seeds_per_request=seeds_per_request,
-                slo_s=slo_s,
-                tenant=tenant,
-                zipf_alpha=zipf_alpha,
-                rng=rng,
-            )
+            workload = poisson_workload(num_requests, **stream)
         elif arrival == "bursty":
-            workload = bursty_workload(
-                num_requests,
-                qps=qps,
-                num_vertices=graph.num_vertices,
-                burst=burst,
-                seeds_per_request=seeds_per_request,
-                slo_s=slo_s,
-                tenant=tenant,
-                zipf_alpha=zipf_alpha,
-                rng=rng,
-            )
+            workload = bursty_workload(num_requests, burst=burst, **stream)
         else:
             raise ValueError(
                 f"unknown arrival process {arrival!r}; use 'poisson' or 'bursty'"
@@ -1220,37 +1234,57 @@ class SweepRow:
     invalidated_bytes: int = 0
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "model": self.model,
-            "dataset": self.dataset,
-            "strategy": self.strategy,
-            "gpu": self.gpu,
-            "flops": self.flops,
-            "io_bytes": self.io_bytes,
-            "peak_memory_bytes": self.peak_memory_bytes,
-            "stash_bytes": self.stash_bytes,
-            "launches": self.launches,
-            "latency_s": self.latency_s,
-            "fits_device": self.fits_device,
-            "num_gpus": self.num_gpus,
-            "comm_bytes": self.comm_bytes,
-            "comm_fraction": self.comm_fraction,
-            "batch_size": self.batch_size,
-            "gather_bytes": self.gather_bytes,
-            "schedule": self.schedule,
-            "arena_bytes": self.arena_bytes,
-            "backend": self.backend,
-            "precision": self.precision,
-            "serve_qps": self.serve_qps,
-            "p50_latency_s": self.p50_latency_s,
-            "p95_latency_s": self.p95_latency_s,
-            "p99_latency_s": self.p99_latency_s,
-            "cache_hit_rate": self.cache_hit_rate,
-            "slo_violation_rate": self.slo_violation_rate,
-            "update_frac": self.update_frac,
-            "staleness_s": self.staleness_s,
-            "invalidated_bytes": self.invalidated_bytes,
-        }
+        return asdict(self)
+
+
+#: :meth:`SweepReport.table` column groups, in order: (shown when any
+#: row satisfies this — always when ``None``; headers; one row's cells).
+_TABLE_COLUMNS = (
+    (
+        None,
+        ["model", "dataset", "strategy", "gpu"],
+        lambda r: [r.model, r.dataset, r.strategy, r.gpu],
+    ),
+    (
+        lambda r: r.batch_size is not None,
+        ["batch"],
+        lambda r: ["full" if r.batch_size is None else str(r.batch_size)],
+    ),
+    (lambda r: r.schedule is not None, ["sched"], lambda r: [r.schedule or "-"]),
+    (lambda r: r.backend is not None, ["backend"], lambda r: [r.backend or "-"]),
+    (lambda r: r.precision is not None, ["prec"], lambda r: [r.precision or "-"]),
+    (
+        None,
+        ["GFLOPs", "IO MiB", "mem MiB", "fits", "ms/step"],
+        lambda r: [
+            f"{r.flops / 1e9:.2f}",
+            f"{r.io_bytes / 2**20:.1f}",
+            f"{r.peak_memory_bytes / 2**20:.1f}",
+            "yes" if r.fits_device else "OOM",
+            f"{r.latency_s * 1e3:.2f}",
+        ],
+    ),
+    (
+        lambda r: r.serve_qps is not None,
+        ["qps", "p50 ms", "p99 ms", "hit", "viol"],
+        lambda r: [
+            f"{r.serve_qps:.0f}" if r.serve_qps is not None else "-",
+            f"{r.p50_latency_s * 1e3:.2f}",
+            f"{r.p99_latency_s * 1e3:.2f}",
+            f"{r.cache_hit_rate * 100:.0f}%",
+            f"{r.slo_violation_rate * 100:.0f}%",
+        ],
+    ),
+    (
+        lambda r: r.update_frac is not None,
+        ["upd", "stale ms", "inval MiB"],
+        lambda r: [
+            f"{r.update_frac:.2f}" if r.update_frac is not None else "-",
+            f"{r.staleness_s * 1e3:.2f}",
+            f"{r.invalidated_bytes / 2**20:.3f}",
+        ],
+    ),
+)
 
 
 @dataclass
@@ -1272,65 +1306,14 @@ class SweepReport:
     def table(self) -> str:
         from repro.bench.report import format_table  # lazy: avoids cycle
 
-        with_batches = any(r.batch_size is not None for r in self.rows)
-        with_schedules = any(r.schedule is not None for r in self.rows)
-        with_backends = any(r.backend is not None for r in self.rows)
-        with_precisions = any(r.precision is not None for r in self.rows)
-        with_serving = any(r.serve_qps is not None for r in self.rows)
-        with_updates = any(r.update_frac is not None for r in self.rows)
-        body = [
-            [
-                r.model, r.dataset, r.strategy, r.gpu,
-            ]
-            + ([str(r.batch_size) if r.batch_size is not None else "full"]
-               if with_batches else [])
-            + ([r.schedule or "-"] if with_schedules else [])
-            + ([r.backend or "-"] if with_backends else [])
-            + ([r.precision or "-"] if with_precisions else [])
-            + [
-                f"{r.flops / 1e9:.2f}",
-                f"{r.io_bytes / 2**20:.1f}",
-                f"{r.peak_memory_bytes / 2**20:.1f}",
-                "yes" if r.fits_device else "OOM",
-                f"{r.latency_s * 1e3:.2f}",
-            ]
-            + (
-                [
-                    f"{r.serve_qps:.0f}" if r.serve_qps is not None else "-",
-                    f"{r.p50_latency_s * 1e3:.2f}",
-                    f"{r.p99_latency_s * 1e3:.2f}",
-                    f"{r.cache_hit_rate * 100:.0f}%",
-                    f"{r.slo_violation_rate * 100:.0f}%",
-                ]
-                if with_serving
-                else []
-            )
-            + (
-                [
-                    (
-                        f"{r.update_frac:.2f}"
-                        if r.update_frac is not None
-                        else "-"
-                    ),
-                    f"{r.staleness_s * 1e3:.2f}",
-                    f"{r.invalidated_bytes / 2**20:.3f}",
-                ]
-                if with_updates
-                else []
-            )
-            for r in self.rows
+        groups = [
+            (headers, cells)
+            for shown, headers, cells in _TABLE_COLUMNS
+            if shown is None or any(map(shown, self.rows))
         ]
         return format_table(
-            ["model", "dataset", "strategy", "gpu"]
-            + (["batch"] if with_batches else [])
-            + (["sched"] if with_schedules else [])
-            + (["backend"] if with_backends else [])
-            + (["prec"] if with_precisions else [])
-            + ["GFLOPs", "IO MiB", "mem MiB", "fits", "ms/step"]
-            + (["qps", "p50 ms", "p99 ms", "hit", "viol"]
-               if with_serving else [])
-            + (["upd", "stale ms", "inval MiB"] if with_updates else []),
-            body,
+            [h for headers, _ in groups for h in headers],
+            [[c for _, cells in groups for c in cells(r)] for r in self.rows],
             title=(
                 f"sweep ({len(self.rows)} rows; plan cache "
                 f"{self.cache_misses} compiles, {self.cache_hits} hits)"
@@ -1391,351 +1374,166 @@ def run_sweep(
     save_as: Optional[str] = None,
     results_dir: Optional[str] = None,
 ) -> SweepReport:
-    """Analytic sweep over the cross product of the six axes.
+    """Analytic sweep over the cross product of its axes.
 
-    Plans are cached by (model signature, strategy): datasets sharing
-    feature/class widths reuse one compilation, and GPUs always do (the
-    device only enters at latency-model time).  Training sweeps skip
-    inference-only strategies (e.g. ``huang-like``); pass
-    ``training=False`` to compare forward passes instead.
+    Rows come out in axis order: model → dataset → strategy →
+    ``schedule`` → ``backend`` → ``precision`` → gpu → ``num_gpus`` →
+    (``batch_size`` | ``serve_qps`` × ``update_frac``).  ``batch_size``,
+    ``schedule``, ``backend``, ``precision`` and ``update_frac`` take a
+    value or a sequence; illegal combinations are refused before
+    anything compiles.  Each (model … precision) combination compiles
+    once through the plan cache, keyed by (model signature, strategy):
+    datasets sharing feature/class widths share a plan, and the gpu,
+    GPU-count and batch axes never recompile.  Training sweeps skip
+    inference-only strategies (``training=False`` compares forward
+    passes).  A memory ``schedule``, a named ``backend`` (a label:
+    analytic columns are backend-independent) and a named
+    ``precision`` (IO, peak, stash and gather bytes shrink with the
+    storage dtype) each compile their own plan.
 
-    ``num_gpus`` sweeps cluster sizes: each entry > 1 evaluates the
-    same compiled plans on a partitioned workload (``<gpu>xN`` rows
-    with halo-exchange traffic and the comm time fraction).  The plan
-    is independent of the partitioning, so every GPU count reuses one
-    compilation per (model, strategy).
+    Each row is one of five kinds:
 
-    ``batch_size`` sweeps sampled mini-batch training: an int or a
-    sequence mixing ints with ``None`` (full-graph).  Mini-batch rows
-    report *epoch* totals — IO including receptive-field feature
-    gathers, per-batch peak memory — against the directly comparable
-    full-graph step.  The plan never depends on the sampled topology,
-    so every batch size reuses one compilation per (model, strategy);
-    single-GPU only (combine with ``num_gpus=(1,)``).
-
-    ``schedule`` sweeps memory planning: a mode or a sequence mixing
-    ``"memory"`` with ``None`` (ledger accounting).  Scheduled rows
-    compile with the ``schedule_memory`` pass appended (a separate
-    plan-cache entry); single-GPU full-graph rows report the planned
-    ``arena_bytes`` and show the deliverable (pinned + arena) peak in
-    the memory column, while multi-GPU and mini-batch rows price the
-    memory-scheduled plans with the ordinary ledger.
-
-    ``backend`` sweeps the kernel backend: a name or a sequence mixing
-    names from :func:`repro.exec.kernel_registry.available_backends`
-    with ``None`` (the strategy's own reference backend).  Analytic
-    counters are backend-independent — backend rows label which
-    registry backend concrete execution (training, serving, direct
-    ``Engine`` runs on the compiled plans) would use, and each named
-    backend compiles through its own plan-cache entry.
-
-    ``precision`` sweeps feature-storage precision: a policy name or a
-    sequence mixing ``"fp32"``/``"fp16"``/``"bf16"``/``"int8"`` with
-    ``None`` (the strategy's own fp32).  Unlike ``backend``, precision
-    *changes* the analytic columns — gather IO, peak memory, and stash
-    bytes shrink with the storage dtype — and each precision compiles
-    through its own plan-cache entry.
-
-    ``serve_qps`` sweeps online serving instead of offline steps: each
-    configuration serves a fixed-seed Poisson request stream at every
-    offered load (``serve_requests`` requests of ``serve_seeds`` seeds,
-    SLO ``serve_slo_s``, ``serve_cache_rows`` LRU feature-cache rows)
-    through :meth:`Session.serve`.  Rows carry the qps plus
-    p50/p95/p99 latency, cache hit rate and SLO-violation share;
-    ``latency_s`` is the mean request latency and io/peak columns the
-    served totals / per-batch maxima.  A multi-GPU entry in
-    ``num_gpus`` serves on the cluster as a pool (whole batches per
-    GPU).  Serving is forward-only and cannot be combined with
-    ``batch_size``.
-
-    ``update_frac`` (requires ``serve_qps``) adds the dynamic-serving
-    axis: each entry serves a mixed read/write stream with that write
-    share (:func:`repro.dyn.mixed_workload`), compacting the delta
-    overlay every ``serve_compact_every`` applied deltas.  Rows then
-    carry the update fraction, mean snapshot staleness, and the
-    invalidation re-gather bytes; ``0.0`` entries are ordinary static
-    rows for direct comparison.
+    * **static** — a single-GPU full-graph step; memory-scheduled rows
+      report the planned ``arena_bytes`` and the deliverable (pinned +
+      arena) peak.
+    * **mini-batch** — a ``batch_size`` other than ``None``: one sampled
+      epoch (``minibatch_hops``, ``minibatch_seed``; the degree model on
+      stats-only workloads) with epoch IO including the receptive-field
+      ``gather_bytes`` and the per-batch peak.  Single-GPU only.
+    * **multi-GPU** — a ``num_gpus`` entry above one or a registered
+      cluster name in ``gpus``: the partitioned step (``<gpu>xN`` rows
+      with halo ``comm_bytes`` and their byte share ``comm_fraction``;
+      ``interconnect_gbps`` overrides the link).  Mini-batch and
+      multi-GPU rows price memory-scheduled plans with the ledger.
+    * **served** — with ``serve_qps``: a fixed-seed Poisson stream
+      (``serve_requests``, ``serve_seeds``, ``serve_slo_s``,
+      ``serve_cache_rows``, ``serve_zipf_alpha``, ``serve_scheduler``,
+      ``serve_seed``) per offered load through :meth:`Session.serve`, on
+      a cluster as a GPU pool; ``latency_s`` is the mean request latency
+      beside p50/p95/p99, cache hits and SLO violations.  A nonzero
+      ``update_frac`` serves a mixed read/write stream compacted every
+      ``serve_compact_every`` deltas and adds staleness and
+      invalidation columns.
+    * **served but out of memory** — no batch fits the device: a
+      ``fits_device=False`` row with zeroed metrics.
     """
     cache = cache if cache is not None else PlanCache()
     hits0, misses0 = cache.hits, cache.misses
-    if batch_size is None or isinstance(batch_size, int):
-        batch_options: Tuple[Optional[int], ...] = (batch_size,)
-    else:
-        batch_options = tuple(batch_size)
-    if schedule is None or isinstance(schedule, str):
-        schedule_options: Tuple[Optional[str], ...] = (schedule,)
-    else:
-        schedule_options = tuple(schedule)
-    if backend is None or isinstance(backend, str):
-        backend_options: Tuple[Optional[str], ...] = (backend,)
-    else:
-        backend_options = tuple(backend)
-    if precision is None or isinstance(precision, str):
-        precision_options: Tuple[Optional[str], ...] = (precision,)
-    else:
-        precision_options = tuple(precision)
-    if any(b is not None for b in batch_options) and any(
-        n > 1 for n in num_gpus
-    ):
+    batches = _as_axis(batch_size)
+    schedules = _as_axis(schedule)
+    backends = _as_axis(backend)
+    precisions = _as_axis(precision)
+    gpu_counts = tuple(num_gpus)
+    serving = serve_qps is not None
+    sampled = any(b is not None for b in batches)
+    for n in gpu_counts:
+        if n <= 0:
+            raise ValueError(f"num_gpus entries must be positive, got {n!r}")
+    if sampled and any(n > 1 for n in gpu_counts):
         raise ValueError(
             "mini-batch sweeps are single-GPU: batch_size cannot be "
             "combined with num_gpus > 1"
         )
-    if serve_qps is not None and any(b is not None for b in batch_options):
+    if serving and sampled:
         raise ValueError(
             "serving sweeps are request-driven: serve_qps cannot be "
             "combined with batch_size"
         )
-    if update_frac is not None and serve_qps is None:
+    if update_frac is not None and not serving:
         raise ValueError(
             "update_frac sweeps dynamic serving: it requires serve_qps"
         )
-    update_options: Tuple[Optional[float], ...] = (
-        (None,) if update_frac is None else tuple(update_frac)
+    probe = Session(cache=cache)
+    for g in gpus if sampled else ():
+        cluster = probe.gpu(g).resolve_cluster()
+        if cluster is not None:
+            raise ValueError(
+                "mini-batch sweeps are single-GPU: "
+                f"gpu {cluster.name!r} resolves to a "
+                "cluster, which cannot be combined with batch_size"
+            )
+    # Bad axis values fail here, with the setters' own messages.
+    for sc, bk, prec, bs in product(schedules, backends, precisions, batches):
+        probe.schedule(sc).backend(bk).precision(prec).minibatch(bs, minibatch_hops)
+
+    serve_args = dict(
+        num_requests=serve_requests,
+        seeds_per_request=serve_seeds,
+        slo_s=serve_slo_s,
+        zipf_alpha=serve_zipf_alpha,
+        cache_rows=serve_cache_rows,
+        scheduler=serve_scheduler,
+        seed=serve_seed,
+        execute=False,
+    )
+    axes = (
+        models, datasets, strategies, schedules, backends, precisions,
+        gpus, gpu_counts,
+        tuple(product(serve_qps, _as_axis(update_frac))) if serving else batches,
     )
     rows: List[SweepRow] = []
-    for m in models:
-        for d in datasets:
-            s = Session(cache=cache).model(m).dataset(d)
-            s.feature_dim(feature_dim)
-            stats = s.resolve_stats()
-            for strat in strategies:
-                s.strategy(strat)
-                for sched, bk, prec in (
-                    (sc, b, pr)
-                    for sc in schedule_options
-                    for b in backend_options
-                    for pr in precision_options
-                ):
-                    s.schedule(sched)
-                    s.backend(bk)
-                    s.precision(prec)
-                    resolved = s.resolve_strategy()
-                    row_backend = resolved.backend if bk is not None else None
-                    row_precision = (
-                        resolved.precision if prec is not None else None
-                    )
-                    if training and not resolved.supports_training:
-                        continue
-                    counters = s.counters(training=training)
-                    # Reuse the compiled pair the counters memo just
-                    # resolved rather than calling s.compile() again:
-                    # the plan cache counts every get_or_compile call,
-                    # and sweep hit/miss accounting is pinned to one
-                    # call per combination (same-module private access;
-                    # counters() guarantees the memo matches).
-                    compiled = s._counters_memo[0]
-                    arena = (
-                        s._memory_plan_compiled(
-                            compiled, stats, training
-                        ).arena_bytes
-                        if sched == "memory"
-                        else 0
-                    )
-                    # Partitioned counters are GPU-independent: one walk
-                    # per partition serves every device in `gpus`.
-                    multi_memo: Dict[int, MultiGPUCounters] = {}
-                    for g in gpus:
-                        for n in num_gpus:
-                            if n <= 1:
-                                # A registered cluster name in `gpus`
-                                # still resolves to the cluster path
-                                # below.
-                                s.gpu(g)
-                            else:
-                                s.cluster(g, n, interconnect_gbps=interconnect_gbps)
-                            cluster = s.resolve_cluster()
-                            if serve_qps is not None:
-                                # Serving rows: a fixed-seed request
-                                # stream per offered load; counters are
-                                # the served totals (paid gathers +
-                                # kernel traffic, per-batch peak).
-                                for q, uf in (
-                                    (q, uf)
-                                    for q in serve_qps
-                                    for uf in update_options
-                                ):
-                                    try:
-                                        rep = s.serve(
-                                            num_requests=serve_requests,
-                                            qps=q,
-                                            seeds_per_request=serve_seeds,
-                                            slo_s=serve_slo_s,
-                                            zipf_alpha=serve_zipf_alpha,
-                                            cache_rows=serve_cache_rows,
-                                            scheduler=serve_scheduler,
-                                            seed=serve_seed,
-                                            execute=False,
-                                            update_frac=uf or 0.0,
-                                            compact_every=(
-                                                serve_compact_every
-                                                if uf
-                                                else None
-                                            ),
-                                        )
-                                    except SimulatedOOM:
-                                        # Keep sweeping: an unservable
-                                        # configuration is an OOM row,
-                                        # like every other sweep path.
-                                        rows.append(
-                                            SweepRow(
-                                                model=s._model_label(),
-                                                dataset=s._dataset_label(),
-                                                strategy=s._strategy_label(),
-                                                gpu=s._gpu_label(),
-                                                flops=0.0,
-                                                io_bytes=0,
-                                                peak_memory_bytes=0,
-                                                stash_bytes=0,
-                                                launches=0,
-                                                latency_s=0.0,
-                                                fits_device=False,
-                                                num_gpus=(
-                                                    cluster.num_gpus
-                                                    if cluster is not None
-                                                    else 1
-                                                ),
-                                                schedule=sched,
-                                                backend=row_backend,
-                                                precision=row_precision,
-                                                serve_qps=float(q),
-                                                update_frac=uf,
-                                            )
-                                        )
-                                        continue
-                                    sc = rep.counters
-                                    rows.append(
-                                        SweepRow(
-                                            model=s._model_label(),
-                                            dataset=s._dataset_label(),
-                                            strategy=s._strategy_label(),
-                                            gpu=s._gpu_label(),
-                                            flops=sc.flops,
-                                            io_bytes=sc.io_bytes,
-                                            peak_memory_bytes=sc.device_peak_bytes,
-                                            stash_bytes=0,
-                                            launches=sc.launches,
-                                            latency_s=rep.mean_latency_s,
-                                            fits_device=True,
-                                            num_gpus=rep.num_gpus,
-                                            gather_bytes=sc.gather_bytes,
-                                            schedule=sched,
-                                            backend=row_backend,
-                                            precision=row_precision,
-                                            serve_qps=float(q),
-                                            p50_latency_s=rep.p50_latency_s,
-                                            p95_latency_s=rep.p95_latency_s,
-                                            p99_latency_s=rep.p99_latency_s,
-                                            cache_hit_rate=rep.cache_hit_rate,
-                                            slo_violation_rate=rep.slo_violation_rate,
-                                            update_frac=uf,
-                                            staleness_s=rep.mean_staleness_s,
-                                            invalidated_bytes=rep.gather_invalidated_bytes,
-                                        )
-                                    )
-                                continue
-                            if cluster is not None and any(
-                                b is not None for b in batch_options
-                            ):
-                                # A registered cluster name in `gpus`
-                                # reaches here with num_gpus == 1;
-                                # refuse rather than silently dropping
-                                # the batch axis.
-                                raise ValueError(
-                                    "mini-batch sweeps are single-GPU: "
-                                    f"gpu {s._gpu_label()!r} resolves to a "
-                                    "cluster, which cannot be combined with "
-                                    "batch_size"
-                                )
-                            if cluster is None:
-                                cost = CostModel(s.resolve_gpu())
-                                for bs in batch_options:
-                                    s.minibatch(bs, minibatch_hops, seed=minibatch_seed)
-                                    if bs is None:
-                                        rows.append(
-                                            SweepRow(
-                                                model=s._model_label(),
-                                                dataset=s._dataset_label(),
-                                                strategy=s._strategy_label(),
-                                                gpu=s._gpu_label(),
-                                                flops=counters.flops,
-                                                io_bytes=counters.io_bytes,
-                                                peak_memory_bytes=counters.device_peak_bytes,
-                                                stash_bytes=counters.stash_bytes,
-                                                launches=counters.launches,
-                                                latency_s=cost.latency_seconds(counters, stats),
-                                                fits_device=cost.fits(counters),
-                                                schedule=sched,
-                                                backend=row_backend,
-                                                precision=row_precision,
-                                                arena_bytes=arena,
-                                            )
-                                        )
-                                        continue
-                                    # Mini-batch rows are epoch totals
-                                    # (the unit comparable to a
-                                    # full-graph step) with per-batch
-                                    # peak memory.
-                                    mc = s.minibatch_counters(training=training)
-                                    rows.append(
-                                        SweepRow(
-                                            model=s._model_label(),
-                                            dataset=s._dataset_label(),
-                                            strategy=s._strategy_label(),
-                                            gpu=s._gpu_label(),
-                                            flops=mc.flops,
-                                            io_bytes=mc.io_bytes,
-                                            peak_memory_bytes=mc.peak_memory_bytes,
-                                            stash_bytes=mc.stash_bytes,
-                                            launches=mc.launches,
-                                            latency_s=s.minibatch_latency_seconds(
-                                                training=training
-                                            ),
-                                            fits_device=cost.fits(mc),
-                                            batch_size=bs,
-                                            gather_bytes=mc.gather_bytes,
-                                            schedule=sched,
-                                            backend=row_backend,
-                                            precision=row_precision,
-                                        )
-                                    )
-                                s.minibatch(None)
-                                continue
-                            pstats = s.resolve_partition_stats()
-                            multi = multi_memo.get(id(pstats))
-                            if multi is None:
-                                multi = compiled.multi_counters(pstats)
-                                multi_memo[id(pstats)] = multi
-                            breakdown = ClusterCostModel(cluster).breakdown(
-                                multi, pstats
-                            )
-                            rows.append(
-                                SweepRow(
-                                    model=s._model_label(),
-                                    dataset=s._dataset_label(),
-                                    strategy=s._strategy_label(),
-                                    gpu=s._gpu_label(),
-                                    flops=multi.flops,
-                                    io_bytes=multi.io_bytes,
-                                    peak_memory_bytes=multi.peak_memory_bytes,
-                                    stash_bytes=multi.stash_bytes,
-                                    launches=multi.launches,
-                                    latency_s=breakdown.total_seconds,
-                                    fits_device=ClusterCostModel(cluster).fits(multi),
-                                    num_gpus=cluster.num_gpus,
-                                    comm_bytes=multi.comm_bytes,
-                                    # Byte-based traffic share (monotone
-                                    # in the GPU count; the time split
-                                    # depends on imbalance floors too).
-                                    comm_fraction=multi.comm_fraction,
-                                    schedule=sched,
-                                    backend=row_backend,
-                                    precision=row_precision,
-                                )
-                            )
-                s.schedule(None)
-                s.backend(None)
-                s.precision(None)
+    # Axis positions of the previous point.  A point whose (model,
+    # dataset) prefix changed gets a new Session; one whose (model ..
+    # precision) prefix changed compiles, once, through the cache.
+    configured: Tuple[int, ...] = ()
+    for point in product(*(tuple(enumerate(axis)) for axis in axes)):
+        at = tuple(i for i, _ in point)
+        m, d, strat, sched, bk, prec, g, n, last = (v for _, v in point)
+        if at[:2] != configured[:2]:
+            s = Session(cache=cache).model(m).dataset(d).feature_dim(feature_dim)
+        if at[:6] != configured[:6]:
+            s.strategy(strat).schedule(sched).backend(bk).precision(prec)
+            resolved = s.resolve_strategy()
+            compiled = (
+                s.compile(training=training)
+                if resolved.supports_training or not training
+                else None
+            )
+        configured = at
+        if compiled is None:
+            continue
+        if n > 1:
+            s.cluster(g, n, interconnect_gbps=interconnect_gbps)
+        else:
+            # A registered cluster name still takes the multi-GPU path.
+            s.gpu(g)
+        if serving:
+            q, uf = last
+            columns = _served_columns(
+                s, q, uf, serve_compact_every, serve_args
+            )
+        else:
+            s.minibatch(last, minibatch_hops, seed=minibatch_seed)
+            if last is not None:
+                # Mini-batch rows have always looked their plan up twice
+                # more (counters, then latency); the committed sweep
+                # files pin those plan-cache hit counts.
+                s.compile(training=training)
+                s.compile(training=training)
+            ev = s._evaluate(compiled, training=training)
+            c = ev.counters
+            columns = dict(
+                flops=c.flops,
+                io_bytes=c.io_bytes,
+                peak_memory_bytes=c.device_peak_bytes,
+                stash_bytes=c.stash_bytes,
+                launches=c.launches,
+                latency_s=ev.latency_s,
+                fits_device=ev.fits,
+                **ev.row,
+            )
+        rows.append(
+            SweepRow(
+                model=s._model_label(),
+                dataset=s._dataset_label(),
+                strategy=s._strategy_label(),
+                gpu=s._gpu_label(),
+                schedule=sched,
+                backend=resolved.backend if bk is not None else None,
+                precision=resolved.precision if prec is not None else None,
+                **columns,
+            )
+        )
     report = SweepReport(
         rows=rows,
         cache_hits=cache.hits - hits0,
@@ -1745,3 +1543,63 @@ def run_sweep(
     if save_as:
         report.save_json(save_as, results_dir)
     return report
+
+
+def _as_axis(value) -> tuple:
+    """A scalar-or-sequence sweep argument as a tuple of axis values."""
+    if value is None or isinstance(value, (str, int, float)):
+        return (value,)
+    return tuple(value)
+
+
+def _served_columns(
+    s: Session,
+    qps: float,
+    update_frac: Optional[float],
+    compact_every: Optional[int],
+    serve_args: Dict[str, object],
+) -> Dict[str, object]:
+    """Columns of a served row: the served totals (paid gathers plus
+    kernel traffic, per-batch peak) and the stream's latency metrics —
+    or a zeroed out-of-memory row when no batch fits the device."""
+    labels = dict(serve_qps=float(qps), update_frac=update_frac)
+    try:
+        rep = s.serve(
+            qps=qps,
+            update_frac=update_frac or 0.0,
+            compact_every=compact_every if update_frac else None,
+            **serve_args,
+        )
+    except SimulatedOOM:
+        cluster = s.resolve_cluster()
+        return dict(
+            flops=0.0,
+            io_bytes=0,
+            peak_memory_bytes=0,
+            stash_bytes=0,
+            launches=0,
+            latency_s=0.0,
+            fits_device=False,
+            num_gpus=cluster.num_gpus if cluster is not None else 1,
+            **labels,
+        )
+    sc = rep.counters
+    return dict(
+        flops=sc.flops,
+        io_bytes=sc.io_bytes,
+        peak_memory_bytes=sc.device_peak_bytes,
+        stash_bytes=0,
+        launches=sc.launches,
+        latency_s=rep.mean_latency_s,
+        fits_device=True,
+        num_gpus=rep.num_gpus,
+        gather_bytes=sc.gather_bytes,
+        p50_latency_s=rep.p50_latency_s,
+        p95_latency_s=rep.p95_latency_s,
+        p99_latency_s=rep.p99_latency_s,
+        cache_hit_rate=rep.cache_hit_rate,
+        slo_violation_rate=rep.slo_violation_rate,
+        staleness_s=rep.mean_staleness_s,
+        invalidated_bytes=rep.gather_invalidated_bytes,
+        **labels,
+    )

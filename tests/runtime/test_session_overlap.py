@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.frameworks import get_strategy
 from repro.frameworks.strategy import ExecutionStrategy
 from repro.session import PlanCache, Session
 
@@ -37,6 +40,11 @@ class TestStrategyField:
     def test_none_resets(self, cache):
         s = sess(cache).overlap("threads").overlap(None)
         assert s.resolve_strategy().overlap is None
+
+    def test_none_keeps_strategy_own_mode(self, cache):
+        own = replace(get_strategy("ours"), overlap="events")
+        s = sess(cache).strategy(own).overlap(None)
+        assert s.resolve_strategy().overlap == "events"
 
 
 class TestOverlapSchedules:

@@ -359,6 +359,19 @@ class TestClusterSessions:
         row = sweep.rows[2].to_dict()
         assert row["num_gpus"] == 4 and row["comm_bytes"] > 0
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sweep_rejects_non_positive_gpu_counts(self, toy_datasets, count):
+        cache = PlanCache()
+        with pytest.raises(ValueError, match=f"got {count}"):
+            run_sweep(
+                models=["gat"],
+                datasets=[toy_datasets[0]],
+                gpus=["RTX3090"],
+                num_gpus=(1, count),
+                cache=cache,
+            )
+        assert cache.misses == 0  # refused before anything compiled
+
     def test_registered_cluster_name_in_sweep_gpus(self, toy_datasets):
         """A registered cluster name in `gpus` takes the cluster path
         even at the default num_gpus=(1,) — never single-GPU numbers
