@@ -14,9 +14,9 @@ Qualitative shape asserted here (the PR's acceptance contract):
   all 8: pinned inputs/parameters live outside the arena),
 - the ``schedule_memory`` pass never makes the ledger peak worse,
 - reordering and slab reuse are accounting transforms: a scheduled
-  plan's values match the per-op reference bit for bit
-  (``verify_plan``) and the arena execution reproduces the plain
-  engine's outputs exactly.
+  plan's values match the per-op reference (no ``RP701`` from
+  ``check_plan_equivalence``) and the arena execution reproduces the
+  plain engine's outputs exactly.
 """
 
 import numpy as np
@@ -70,10 +70,11 @@ class TestMemoryPlanFigure:
 
 class TestScheduledPlansPreserveValues:
     @pytest.mark.parametrize("name", sorted(MODELS.names()))
-    def test_verify_plan_on_memory_scheduled_plans(self, name):
+    def test_memory_scheduled_plans_match_per_op_reference(self, name):
         # Reordering + arena reuse never change values: the scheduled
-        # forward plan must reproduce the per-op reference bit for bit
-        # on a concrete graph.
+        # forward plan must reproduce the per-op reference on a
+        # concrete graph.
+        from repro.analysis import check_plan_equivalence
         from repro.exec import Engine
         from repro.frameworks import compile_training, get_strategy
         from repro.graph.generators import erdos_renyi
@@ -88,6 +89,5 @@ class TestScheduledPlansPreserveValues:
         feats = rng.normal(size=(graph.num_vertices, 8))
         arrays = compiled.model.make_inputs(graph, feats)
         arrays.update(compiled.model.init_params(0))
-        Engine(graph, precision="float64").verify_plan(
-            compiled.fwd_plan, arrays
-        )
+        engine = Engine(graph, precision="float64")
+        assert check_plan_equivalence(engine, compiled.fwd_plan, arrays) == []

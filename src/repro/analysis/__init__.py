@@ -4,8 +4,8 @@ The runtime layers each guard their own invariants with scattered
 asserts that fire mid-execution; this package is the unified *static*
 layer that proves them up front over a compiled artifact bundle — the
 prerequisite for the async pipelined runtime (no kernel overlap without
-a race proof) and the autotuner (candidates rejected statically, not by
-crashing).
+a race proof).  The mapping autotuner (:mod:`repro.opt.autotune`) is an
+ablation tool on no compile path and does not consult the analyzer.
 
 Entry points
 ------------

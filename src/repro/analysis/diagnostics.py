@@ -22,8 +22,8 @@ Family    Checker
 ``RP3xx`` precision flow (logical dtypes, fp32 accumulation)
 ``RP4xx`` halo/communication consistency (multi-GPU)
 ``RP5xx`` determinism lint (RNG and wall-clock hygiene)
-``RP6xx`` graph-partition invariants (migrated ``validate``)
-``RP7xx`` differential plan equivalence (``verify_plan`` shim)
+``RP6xx`` graph-partition invariants
+``RP7xx`` differential plan equivalence against the per-op reference
 ========  ============================================================
 """
 

@@ -1,12 +1,11 @@
-"""Differential plan equivalence (RP701) — the analyzer form of
-``Engine.verify_plan``.
+"""Differential plan equivalence (RP701).
 
 The one *dynamic* checker: it executes the plan and a freshly built
 per-op plan of the same module on the same concrete inputs and compares
 every module output.  Expensive, so it only runs when a bundle carries
 concrete arrays; the contract it completes is the README's
-"analyzer clean ⇒ verify_plan passes" — every static checker above it
-proves a necessary condition of this equivalence.
+"statically clean ⇒ no RP701" — every static checker above it proves a
+necessary condition of this equivalence.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
-"""Graph-partition invariants (RP6xx) — the analyzer form of
-``GraphPartition.validate``.
+"""Graph-partition invariants (RP6xx).
 
 The ownership model every multi-GPU walk relies on: each vertex in
 exactly one part, each edge owned by its destination's part, and the
-owned sets tiling the graph exactly.  ``GraphPartition.validate``
-remains the raising shim (AssertionError, identical messages).
+owned sets tiling the graph exactly.  :func:`check_partition` returns
+one diagnostic per violated invariant; a clean partition yields none.
 """
 
 from __future__ import annotations

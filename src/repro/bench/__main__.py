@@ -470,8 +470,8 @@ def run_overlap_smoke() -> int:
     makespan never exceeds the serialized one on any row, and strictly
     beats it on at least one comm-bound narrow-link configuration —
     then executes one model concretely through the overlapped
-    ``MultiEngine`` (both ``events`` and ``threads`` modes) and checks
-    the outputs stay **bit-identical** to the serial oracle.  An
+    ``MultiEngine`` (``events`` mode) and checks the outputs stay
+    **bit-identical** to the serial oracle.  An
     overlapped serve run exercises the channelled request placement and
     the whole case is persisted to ``sweep_overlap_smoke.json``.
     """
@@ -524,12 +524,11 @@ def run_overlap_smoke() -> int:
         return {k: out[k] for k in cf.forward.outputs}
 
     oracle = _outputs(None)
-    for mode in ("events", "threads"):
-        got = _outputs(mode)
-        for k, ref in oracle.items():
-            assert np.array_equal(ref, got[k]), (
-                f"overlap={mode}: output {k} diverged from serial oracle"
-            )
+    got = _outputs("events")
+    for k, ref in oracle.items():
+        assert np.array_equal(ref, got[k]), (
+            f"overlap=events: output {k} diverged from serial oracle"
+        )
 
     # Overlapped serving: same outputs, never a longer makespan.
     cache = PlanCache()
@@ -567,7 +566,7 @@ def run_overlap_smoke() -> int:
     best = max(r["overlap_efficiency"] for r in figure.normalized)
     print(
         f"overlap smoke done in {time.time() - t0:.1f}s "  # repro: allow-wallclock
-        f"(best pipelining win {best:.4f}x; bit-identical in both modes; "
+        f"(best pipelining win {best:.4f}x; events mode bit-identical; "
         f"table -> {path}; sweep -> {json_path})"
     )
     return 0

@@ -303,36 +303,6 @@ class Engine:
             )
         return result
 
-    def verify_plan(
-        self,
-        plan: ExecPlan,
-        arrays: Mapping[str, np.ndarray],
-        *,
-        rtol: float = 1e-6,
-        atol: float = 1e-9,
-    ) -> None:
-        """Check a plan against the per-op reference execution.
-
-        Runs ``plan`` and a freshly built per-op plan of the same module
-        on the same inputs and raises ``AssertionError`` on any output
-        divergence beyond the tolerances.  Cheap insurance when
-        composing custom passes: fusion and recomputation must never
-        change values.
-
-        Thin shim over the static analyzer's RP701 differential checker
-        (:func:`repro.analysis.differential.check_plan_equivalence`) —
-        the dynamic completion of the "analyzer clean ⇒ verify_plan
-        passes" contract — keeping the historical ``AssertionError``
-        with the same message text.
-        """
-        from repro.analysis.differential import check_plan_equivalence
-
-        diags = check_plan_equivalence(
-            self, plan, arrays, rtol=rtol, atol=atol
-        )
-        if diags:
-            raise AssertionError(diags[0].message)
-
     def _argmax_demand(self, module: Module, wanted: Set[str]) -> Set[str]:
         return argmax_demand(module, wanted)
 

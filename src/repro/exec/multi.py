@@ -28,22 +28,22 @@ returns globally-assembled arrays, so it drops into any place an
 indices are translated between global and part-local edge ids on the
 way in and out.
 
-**Overlap modes.**  ``overlap="events"`` executes kernels in the
+**Overlap mode.**  ``overlap="events"`` executes kernels in the
 hazard-wave order of :func:`repro.runtime.overlap.hazard_waves` (each
 wave an antichain of the race analyzer's happens-before DAG, so every
-reordering it performs is between ``may_overlap``-certified pairs);
-``overlap="threads"`` additionally runs each wave's kernels on a
-``ThreadPoolExecutor``, with every kernel writing a private overlay
-that is merged in kernel order after the wave.  Both modes flatten
-exchange records in plan-kernel order and replay the memory ledgers
-serially, so outputs, exchange schedules, and measured peaks stay
-bit-identical to the serial oracle — the differential contract the
-runtime tests pin.
+reordering it performs is between ``may_overlap``-certified pairs).
+Exchange records are flattened in plan-kernel order and the memory
+ledgers are replayed in plan order, so outputs, exchange schedules, and
+measured peaks stay bit-identical to the serial oracle — the
+differential contract the runtime tests pin.  There is no thread-pool
+mode here: gather-bound kernels on a host CPU are bound by the GIL and
+memory bandwidth, so a pool measured no faster than the serial walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import ChainMap
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -103,13 +103,12 @@ class MultiEngine:
     precision:
         Floating dtype, as in :class:`~repro.exec.engine.Engine`.
     overlap:
-        ``None`` (serial oracle, kernels in plan order), ``"events"``
-        (hazard-wave order on the virtual timeline), or ``"threads"``
-        (hazard waves with a real thread pool).  Either mode is
+        ``None`` (serial oracle, kernels in plan order) or ``"events"``
+        (hazard-wave order on the virtual timeline), which is
         bit-identical to the serial oracle.
     """
 
-    OVERLAP_MODES = (None, "events", "threads")
+    OVERLAP_MODES = (None, "events")
 
     def __init__(
         self,
@@ -313,36 +312,29 @@ class MultiEngine:
             if self._spec_driven
             else set()
         )
-        ledgers = self._make_ledgers(plan, parts_values, shared)
+        order = range(len(plan.kernels))
+        self.overlap_waves = None
+        if self.overlap == "events":
+            # Local import: the runtime package depends on the analysis
+            # layer, which this low-level module must not import eagerly.
+            from repro.runtime.overlap import hazard_waves
+
+            self.overlap_waves = hazard_waves(plan)
+            order = [ki for wave in self.overlap_waves for ki in wave]
         # Exchange records collected per kernel and flattened in plan
         # order, so the schedule reconciles against plan_comm_records
-        # regardless of the execution order an overlap mode picks.
+        # regardless of the execution order.
         sinks: List[List[ExchangeRecord]] = [[] for _ in plan.kernels]
-        self.overlap_waves = None
-        if self.overlap is None:
-            for ki in range(len(plan.kernels)):
-                self._run_kernel(
-                    plan, ki, parts_values, shared,
-                    argmax_needed, bf16_outputs, sinks[ki],
-                )
-                self._ledgers_after_kernel(
-                    ledgers, plan, ki, parts_values, shared
-                )
-        else:
-            self._run_overlapped(
-                plan, parts_values, shared,
-                argmax_needed, bf16_outputs, sinks,
+        for ki in order:
+            self._run_kernel(
+                plan, ki, parts_values, shared,
+                argmax_needed, bf16_outputs, sinks[ki],
             )
-            # Ledger replay in plan order: after_kernel reads only its
-            # own kernel's writes and frees by liveness index, so the
-            # serial replay reproduces the serial peaks exactly.
-            for ki in range(len(plan.kernels)):
-                self._ledgers_after_kernel(
-                    ledgers, plan, ki, parts_values, shared
-                )
         for records in sinks:
             self.exchanges.extend(records)
-        self.measured_peak_bytes_per_gpu = [lg.peak_bytes for lg in ledgers]
+        self.measured_peak_bytes_per_gpu = self._measured_peaks(
+            plan, parts_values, shared
+        )
 
         result: Dict[str, np.ndarray] = {}
         for name in wanted:
@@ -358,18 +350,13 @@ class MultiEngine:
         self,
         plan: ExecPlan,
         kernel_index: int,
-        parts_values,
-        shared,
+        parts_values: List[Dict[str, np.ndarray]],
+        shared: Dict[str, np.ndarray],
         argmax_needed: Set[str],
         bf16_outputs: Set[str],
         exchanges: "List[ExchangeRecord]",
     ) -> None:
-        """Execute one kernel against the given value mappings.
-
-        ``parts_values``/``shared`` may be plain dicts (serial modes)
-        or ChainMap overlays (thread mode); writes land in the first
-        map either way.  Exchange records go to ``exchanges``.
-        """
+        """Execute one kernel in place; exchange records go to ``exchanges``."""
         module = plan.module
         kernel = plan.kernels[kernel_index]
         # Per-kernel exchange cache: kernels sharing an operand share
@@ -396,116 +383,34 @@ class MultiEngine:
                                     parts_values[p][o]
                                 )
 
-    def _run_overlapped(
-        self,
-        plan: ExecPlan,
-        parts_values: List[Dict[str, np.ndarray]],
-        shared: Dict[str, np.ndarray],
-        argmax_needed: Set[str],
-        bf16_outputs: Set[str],
-        sinks: "List[List[ExchangeRecord]]",
-    ) -> None:
-        """Execute the plan wave by wave (see ``overlap`` modes).
-
-        Each wave is an antichain of the hazard DAG, so kernels within
-        it neither read nor write each other's roots — they commute,
-        and in thread mode can run concurrently against the shared base
-        state with private write overlays.
-        """
-        from collections import ChainMap
-
-        # Local import: the runtime package depends on the analysis
-        # layer, which this low-level module must not import eagerly.
-        from repro.runtime.overlap import hazard_waves
-
-        waves = hazard_waves(plan)
-        self.overlap_waves = waves
-        if self.overlap == "events":
-            for wave in waves:
-                for ki in wave:
-                    self._run_kernel(
-                        plan, ki, parts_values, shared,
-                        argmax_needed, bf16_outputs, sinks[ki],
-                    )
-            return
-
-        import os
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = max(1, min(16, os.cpu_count() or 1))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for wave in waves:
-                if len(wave) == 1:
-                    self._run_kernel(
-                        plan, wave[0], parts_values, shared,
-                        argmax_needed, bf16_outputs, sinks[wave[0]],
-                    )
-                    continue
-                overlays = {}
-                futures = []
-                for ki in wave:
-                    pv = [
-                        ChainMap({}, parts_values[p])
-                        for p in range(self.num_parts)
-                    ]
-                    sh = ChainMap({}, shared)
-                    overlays[ki] = (pv, sh)
-                    futures.append(
-                        pool.submit(
-                            self._run_kernel,
-                            plan, ki, pv, sh,
-                            argmax_needed, bf16_outputs, sinks[ki],
-                        )
-                    )
-                for fut in futures:
-                    fut.result()
-                # Merge overlays in kernel order.  Same-wave kernels
-                # never write the same root (WAW is a hazard edge), so
-                # the merge order is cosmetic; kernel order keeps it
-                # deterministic anyway.
-                for ki in wave:
-                    pv, sh = overlays[ki]
-                    for p in range(self.num_parts):
-                        parts_values[p].update(pv[p].maps[0])
-                    shared.update(sh.maps[0])
-
     # -- measured memory ledgers ---------------------------------------
-    def _make_ledgers(
+    def _measured_peaks(
         self,
         plan: ExecPlan,
         parts_values: List[Dict[str, np.ndarray]],
         shared: Dict[str, np.ndarray],
-    ) -> "List[MemoryLedger]":
-        """One measured ledger per part, charged with its bound inputs.
+    ) -> List[int]:
+        """Per-part live-byte peaks, replayed in plan order after a run.
 
-        Replicated PARAM/DENSE values live in ``shared`` but occupy
-        every simulated GPU, so each part's ledger reads through a
-        ChainMap view (no per-kernel dict rebuilding).
+        The ledger reads only the ``nbytes`` of the bound inputs and of
+        each kernel's writes, and frees by liveness index, so a replay
+        over the finished values reproduces the serial peaks whatever
+        order the kernels ran in.  Replicated PARAM/DENSE values live in
+        ``shared`` but occupy every simulated GPU, so each part's ledger
+        reads through a ChainMap view.
         """
-        from collections import ChainMap
-
         from repro.exec.memory import MemoryLedger
 
         lives = plan.liveness()
-        ledgers = [MemoryLedger(plan, lives=lives) for _ in range(self.num_parts)]
-        for p, ledger in enumerate(ledgers):
-            ledger.bind(ChainMap(parts_values[p], shared))
-        return ledgers
-
-    def _ledgers_after_kernel(
-        self,
-        ledgers: "List[MemoryLedger]",
-        plan: ExecPlan,
-        kernel_index: int,
-        parts_values: List[Dict[str, np.ndarray]],
-        shared: Dict[str, np.ndarray],
-    ) -> None:
-        from collections import ChainMap
-
-        for p, ledger in enumerate(ledgers):
-            ledger.after_kernel(
-                kernel_index, ChainMap(parts_values[p], shared)
-            )
+        peaks = []
+        for part_values in parts_values:
+            values = ChainMap(part_values, shared)
+            ledger = MemoryLedger(plan, lives=lives)
+            ledger.bind(values)
+            for ki in range(len(plan.kernels)):
+                ledger.after_kernel(ki, values)
+            peaks.append(ledger.peak_bytes)
+        return peaks
 
     # -- halo exchanges -------------------------------------------------
     def _fetch_ghost_rows(

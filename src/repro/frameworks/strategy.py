@@ -47,6 +47,8 @@ from repro.opt.reorganize import reorganize
 from repro.models.base import GNNModel
 
 __all__ = [
+    "OVERLAP_MODES",
+    "check_overlap_mode",
     "ExecutionStrategy",
     "CompiledForward",
     "CompiledTraining",
@@ -56,6 +58,18 @@ __all__ = [
 
 _REORG_SCOPES = ("none", "library", "full")
 _STASH_SCOPES = ("needed", "all_boundary")
+#: Async-runtime modes a strategy, a session, and the inference server
+#: accept.  ``MultiEngine`` takes only ``None`` and ``"events"``.
+OVERLAP_MODES = (None, "events", "threads")
+
+
+def check_overlap_mode(mode: Optional[str]) -> None:
+    """Raise ``ValueError`` naming ``mode`` unless it is an overlap mode."""
+    if mode not in OVERLAP_MODES:
+        raise ValueError(
+            f"unknown overlap mode {mode!r}; use 'events', "
+            "'threads', or None"
+        )
 
 
 @dataclass(frozen=True)
@@ -107,10 +121,13 @@ class ExecutionStrategy:
         Async-runtime mode (see :mod:`repro.runtime`): ``None`` keeps
         the serial oracle; ``"events"`` schedules kernels, halo
         exchanges, and feature gathers on overlapping virtual-clock
-        channels; ``"threads"`` backs the same schedule with a real
-        thread pool.  Purely an execution/timeline choice — plans and
-        counters are unchanged, and concrete outputs stay bit-identical
-        to the serial oracle by contract.
+        channels; ``"threads"`` applies to serving only, where the
+        inference server fans concrete batch execution out over a
+        thread pool (``MultiEngine`` accepts ``None`` and ``"events"``).
+        Purely an execution/timeline choice — plans and counters are
+        unchanged, and concrete outputs stay bit-identical to the
+        serial oracle by contract (the analyzer's RP701 differential
+        check compares a plan against the per-op reference).
     """
 
     name: str
@@ -135,12 +152,7 @@ class ExecutionStrategy:
     def __post_init__(self) -> None:
         from repro.opt.fusion import FUSION_MODES
 
-        if self.overlap not in (None, "events", "threads"):
-            raise ValueError(
-                f"unknown overlap mode {self.overlap!r}; use 'events', "
-                "'threads', or None"
-            )
-
+        check_overlap_mode(self.overlap)
         if self.precision != "fp32":
             from repro.ir.precision import canonical_precision
 

@@ -314,20 +314,6 @@ class GraphPartition:
         total = sum(p.num_local_vertices for p in self.parts)
         return total / max(self.graph.num_vertices, 1)
 
-    def validate(self) -> None:
-        """Assert the partition invariants (tests call this).
-
-        Thin shim over the static analyzer's RP6xx partition checker
-        (:func:`repro.analysis.partition_checks.check_partition`) —
-        one diagnostic vocabulary — keeping the historical
-        ``AssertionError`` contract with the same message text.
-        """
-        from repro.analysis.partition_checks import check_partition
-
-        diags = check_partition(self)
-        if diags:
-            raise AssertionError(diags[0].message)
-
     def stats(self) -> "PartitionStats":
         return PartitionStats.from_partition(self)
 

@@ -7,7 +7,8 @@
 - :mod:`~repro.opt.recompute` — §6 intermediate-data recomputation
   (training-memory elimination),
 - :mod:`~repro.opt.autotune` — per-kernel thread-mapping selection by
-  the cost model (§5's "based on performance profiling"),
+  the cost model (§5's "based on performance profiling"; ablation-only,
+  on no compile path),
 - :mod:`~repro.opt.schedule` — peak-aware kernel reordering over the §6
   liveness ledger (greedy list scheduling; the ``schedule_memory``
   pass),

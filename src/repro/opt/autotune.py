@@ -12,6 +12,10 @@ The result is a new :class:`~repro.exec.plan.ExecPlan` with identical
 kernels up to the ``mapping``/``atomic`` flags — values are unaffected,
 only the latency model's view changes (and, through the atomic flag,
 the IO-time accounting of reduction writes).
+
+Ablation-only: no compile path calls :func:`autotune_plan`.  Strategies
+pick mappings through ``prefer_mapping`` and the fusion pass; this
+module lets an ablation price the per-kernel choice the paper profiles.
 """
 
 from __future__ import annotations

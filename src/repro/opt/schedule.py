@@ -16,7 +16,7 @@ the result is never worse than the input).  Reordering is an accounting
 transform like fusion itself — but legality is *proved*, not assumed:
 every candidate order passes the race detector
 (:func:`repro.analysis.races.check_order`) before it may win, so values
-never change (``verify_plan`` holds on the output) and a caller-supplied
+never change (no RP701 divergence on the output) and a caller-supplied
 conflicting order is rejected with RP-coded diagnostics
 (:class:`SchedulingRaceError`).
 

@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # runtime import would cycle: dyn.workload uses serve.request
 from repro.exec.analytic import feature_gather_row_bytes
 from repro.exec.engine import Engine
 from repro.exec.memory import plan_memory
-from repro.frameworks.strategy import CompiledForward
+from repro.frameworks.strategy import CompiledForward, check_overlap_mode
 from repro.gpu.cluster import Cluster
 from repro.gpu.cost_model import CostModel
 from repro.gpu.spec import GPUSpec, get_gpu
@@ -175,11 +175,7 @@ class InferenceServer:
         precision: str = "float32",
         overlap: Optional[str] = None,
     ):
-        if overlap not in (None, "events", "threads"):
-            raise ValueError(
-                f"unknown overlap mode {overlap!r}; use 'events', "
-                "'threads', or None"
-            )
+        check_overlap_mode(overlap)
         if features.shape[0] != graph.num_vertices:
             raise ValueError(
                 f"features have {features.shape[0]} rows, graph has "

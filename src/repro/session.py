@@ -55,6 +55,7 @@ from repro.frameworks import compile_forward, compile_training, get_strategy
 from repro.frameworks.strategy import (
     CompiledForward,
     ExecutionStrategy,
+    check_overlap_mode,
 )
 from repro.gpu.cluster import Cluster, ClusterCostModel, CommBreakdown, make_cluster
 from repro.gpu.cost_model import CostModel, SimulatedOOM
@@ -424,21 +425,19 @@ class Session:
 
         ``"events"`` schedules compute, halo exchange, and feature
         gathers on overlapping per-GPU virtual-clock channels
-        (:mod:`repro.runtime`); ``"threads"`` backs the same hazard-wave
-        schedule with a real thread pool.  The resolved strategy
-        carries the choice (``ExecutionStrategy.overlap``), so
-        concrete multi-GPU execution and :meth:`serve` use it; both
-        modes are bit-identical to the serial oracle by contract.
-        :meth:`overlap_schedules` reports the modelled timeline and its
-        overlap efficiency.  ``overlap(None)`` restores the strategy's
-        own mode (serial for the registered strategies; a strategy
-        object built with ``overlap="events"`` keeps it).
+        (:mod:`repro.runtime`); ``"threads"`` applies to serving only,
+        where :meth:`serve` additionally fans concrete batch execution
+        out over a thread pool.  The resolved strategy carries the
+        choice (``ExecutionStrategy.overlap``) and :meth:`serve`
+        executes with it; no other Session path runs concretely.
+        (:meth:`overlap_schedules` models the overlapped cluster
+        timeline whatever the mode.)  Served outputs are
+        bit-identical to the serial oracle in every mode.
+        ``overlap(None)`` restores the strategy's own mode (serial for
+        the registered strategies; a strategy object built with
+        ``overlap="events"`` keeps it).
         """
-        if mode not in (None, "events", "threads"):
-            raise ValueError(
-                f"unknown overlap mode {mode!r}; use 'events', "
-                "'threads', or None"
-            )
+        check_overlap_mode(mode)
         self._overlap = mode
         return self
 
@@ -1504,12 +1503,6 @@ def run_sweep(
             )
         else:
             s.minibatch(last, minibatch_hops, seed=minibatch_seed)
-            if last is not None:
-                # Mini-batch rows have always looked their plan up twice
-                # more (counters, then latency); the committed sweep
-                # files pin those plan-cache hit counts.
-                s.compile(training=training)
-                s.compile(training=training)
             ev = s._evaluate(compiled, training=training)
             c = ev.counters
             columns = dict(

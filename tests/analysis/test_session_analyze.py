@@ -1,5 +1,5 @@
 """Session.analyze, the lint CLI, the differential contract, and the
-legacy-validator shims' raising behaviour."""
+raising ``validate_module`` / non-raising partition checks."""
 
 import numpy as np
 import pytest
@@ -40,7 +40,7 @@ class TestSessionAnalyze:
 
 
 class TestDifferentialContract:
-    """README item: analyzer clean ⇒ ``verify_plan`` passes."""
+    """README item: statically clean ⇒ no RP701 divergence."""
 
     @pytest.fixture(scope="class")
     def checked(self):
@@ -60,14 +60,11 @@ class TestDifferentialContract:
         arrays.update(compiled.model.init_params(0))
         return Engine(graph), compiled.fwd_plan, arrays
 
-    def test_clean_analysis_implies_verify_plan(self, checked):
+    def test_clean_plan_has_no_rp701(self, checked):
         engine, plan, arrays = checked
-        # The analyzer's dynamic checker and the legacy entry point
-        # agree: zero RP701 diagnostics, and verify_plan does not raise.
         assert check_plan_equivalence(engine, plan, arrays) == []
-        engine.verify_plan(plan, arrays)
 
-    def test_divergent_plan_yields_rp701_and_verify_plan_raises(self, checked):
+    def test_divergent_plan_yields_rp701(self, checked):
         engine, plan, arrays = checked
         broken = dict(arrays)
 
@@ -107,7 +104,7 @@ class TestDifferentialContract:
         assert "differential" in report.checkers_run
 
 
-class TestLegacyShims:
+class TestValidators:
     def test_validate_module_contract(self):
         from repro.frameworks import compile_training, get_strategy
         from repro.ir.validate import IRValidationError, validate_module
@@ -124,17 +121,17 @@ class TestLegacyShims:
         finally:
             module.outputs.pop()
 
-    def test_partition_validate_contract(self):
-        import numpy as np
-
+    def test_partition_check_contract(self):
+        from repro.analysis import check_partition
         from repro.graph.generators import erdos_renyi
         from repro.graph.partition import partition_graph
 
         gp = partition_graph(erdos_renyi(40, 200, seed=1), 2, seed=0)
-        gp.validate()  # clean: no raise
+        assert check_partition(gp) == []
         object.__setattr__(gp, "assignment", gp.assignment[:-1])
-        with pytest.raises(AssertionError, match="cover every vertex"):
-            gp.validate()
+        diags = check_partition(gp)
+        assert diags and diags[0].code == "RP601"
+        assert "cover every vertex" in diags[0].message
 
 
 class TestLintCli:

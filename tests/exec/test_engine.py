@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import check_plan_equivalence
 from repro.exec import Engine, plan_module
 from repro.ir import Builder, Domain
 
@@ -124,15 +125,16 @@ class TestRun:
         res = eng.run_plan(plan, eng.bind(m, {"h": rng.normal(size=(4, 3))}))
         assert res["mx.aux1"].dtype == np.int64
 
-    def test_verify_plan_accepts_equivalent(self, small_graph, rng):
+    def test_fused_plan_matches_per_op_reference(self, small_graph, rng):
         m = chain_module()
         eng = Engine(small_graph, precision="float64")
         arrays = {"h": rng.normal(size=(60, 4)), "w": rng.normal(size=(4, 3))}
-        eng.verify_plan(plan_module(m, mode="unified"), arrays)
+        plan = plan_module(m, mode="unified")
+        assert check_plan_equivalence(eng, plan, arrays) == []
 
-    def test_verify_plan_rejects_divergence(self, small_graph, rng):
+    def test_divergent_plan_yields_rp701(self, small_graph, rng):
         # A plan whose kernels disagree with the module (a scatter with
-        # the wrong function) must be caught by verification.
+        # the wrong function) must be caught by the differential check.
         import dataclasses
 
         from repro.exec.plan import ExecPlan, Kernel
@@ -151,8 +153,9 @@ class TestRun:
         tampered = ExecPlan(module=m, kernels=kernels, keep=plan.keep)
         eng = Engine(small_graph, precision="float64")
         arrays = {"h": rng.normal(size=(60, 4)), "w": rng.normal(size=(4, 3))}
-        with pytest.raises(AssertionError, match="diverges"):
-            eng.verify_plan(tampered, arrays)
+        diags = check_plan_equivalence(eng, tampered, arrays)
+        assert [d.code for d in diags] == ["RP701"]
+        assert "diverges" in diags[0].message
 
     def test_unwrap_param_grads(self, tiny_graph, rng):
         # PARAM-domain outputs come back in natural shape.

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import check_partition
 from repro.graph import Graph, chung_lu, erdos_renyi
 from repro.graph.partition import (
     PartitionSpec,
@@ -121,7 +122,7 @@ class TestPartitionProperties:
     def test_cover_disjoint_and_halo(self, name, method, num_parts):
         graph = FUZZ_GRAPHS[name]
         gp = partition_graph(graph, num_parts, method=method)
-        gp.validate()
+        assert check_partition(gp) == []
 
         seen_vertices = np.concatenate([p.owned for p in gp.parts])
         assert len(seen_vertices) == len(set(seen_vertices.tolist()))

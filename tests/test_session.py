@@ -7,10 +7,16 @@ import pytest
 
 from repro.frameworks import compile_training, get_strategy
 from repro.frameworks.strategy import ExecutionStrategy
-from repro.graph.datasets import Dataset
+from repro.graph.datasets import Dataset, get_dataset
 from repro.graph.generators import chung_lu
 from repro.models import GAT, GCN
-from repro.registry import DATASETS, STRATEGIES, register_dataset, register_strategy
+from repro.registry import (
+    DATASETS,
+    MODELS,
+    STRATEGIES,
+    register_dataset,
+    register_strategy,
+)
 from repro.session import (
     PlanCache,
     Session,
@@ -120,16 +126,18 @@ class TestSessionFluent:
         with pytest.raises(ValueError, match="no workload"):
             sess.counters()
 
-    def test_report_matches_run_experiment(self):
-        from repro.experiment import run_experiment
+    def test_unknown_registry_model(self):
+        with pytest.raises(KeyError, match="unknown model"):
+            session().model("transformer").dataset("cora").resolve_model()
 
-        via_session = (
-            session().model("gcn").dataset("cora").feature_dim(16).report()
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_every_registry_model_resolves_to_dataset_dims(self, name):
+        model = (
+            session().model(name).dataset("cora").feature_dim(8)
+            .resolve_model()
         )
-        via_shim = run_experiment("gcn", "cora", feature_dim=16)
-        assert via_session.counters.flops == via_shim.counters.flops
-        assert via_session.latency_s == via_shim.latency_s
-        assert "gcn on cora" in via_session.summary()
+        assert model.build_module().outputs
+        assert model.hidden_dims[-1] == get_dataset("cora").num_classes
 
     def test_report_training_uses_dataset_labels(self, toy_datasets):
         report = (
@@ -138,6 +146,62 @@ class TestSessionFluent:
         )
         assert len(report.losses) == 2
         assert report.final_accuracy is not None
+
+
+class TestSessionReport:
+    def test_analytic_only(self):
+        report = session().model("gcn").dataset("cora").feature_dim(16).report()
+        assert report.counters.flops > 0
+        assert report.latency_s > 0
+        assert report.fits_device
+        assert report.losses == []
+        text = report.summary()
+        assert "gcn on cora" in text
+        assert "modelled step" in text
+
+    def test_with_training(self):
+        report = (
+            session().model("gcn").dataset("cora").feature_dim(16)
+            .report(train_steps=3, seed=1)
+        )
+        assert len(report.losses) == 3
+        assert report.final_accuracy is not None
+        assert "training" in report.summary()
+
+    def test_stats_only_dataset_analytic(self):
+        report = (
+            session().model("gat").dataset("reddit-full").feature_dim(32)
+            .report()
+        )
+        assert report.counters.peak_memory_bytes > 0
+
+    def test_stats_only_dataset_rejects_training(self):
+        sess = session().model("gcn").dataset("reddit-full").feature_dim(16)
+        with pytest.raises(RuntimeError, match="stats-only"):
+            sess.report(train_steps=1)
+
+    def test_strategy_and_gpu_selection(self):
+        def report(**axes):
+            sess = session().model("gat").dataset("pubmed").feature_dim(32)
+            if "strategy" in axes:
+                sess.strategy(axes["strategy"])
+            if "gpu" in axes:
+                sess.gpu(axes["gpu"])
+            return sess.report()
+
+        ours = report()
+        dgl = report(strategy="dgl-like")
+        slow = report(gpu="RTX2080")
+        assert dgl.counters.io_bytes > ours.counters.io_bytes
+        assert slow.latency_s > ours.latency_s
+
+    def test_oom_reported_not_raised(self):
+        report = (
+            session().model("gat").dataset("reddit-full")
+            .strategy("dgl-like").gpu("RTX2080").report()
+        )
+        assert not report.fits_device
+        assert "exceeds device DRAM" in report.summary()
 
 
 class TestCustomStrategyThroughSession:
